@@ -271,7 +271,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             # A lying aggregator flips one verdict; anyone holding the
             # leaves opens that leaf on chain and takes the bond.
             fraud_caught, slashed = _slash_forged_checkpoint(
-                chain, address, aggregator, scheduler, args.epochs
+                pipeline, args.epochs
             )
             print(f"fraud proof: forged checkpoint (flipped verdict) "
                   f"{'slashed' if fraud_caught else 'NOT slashed'}"
@@ -288,37 +288,30 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _slash_forged_checkpoint(chain, contract_address, poster, scheduler, epoch):
+def _slash_forged_checkpoint(pipeline, epoch):
     """Fraud-proof demo shared by ``checkpoint --fraud`` and ``shard --fraud``.
 
-    Runs one extra engine epoch, flips a verdict in its record set, posts
-    the forged commitment under bond, and opens the flipped leaf on chain
-    as a challenger.  Returns ``(slashed_ok, slashed_events)``.
+    Runs one extra engine epoch on ``pipeline``'s scheduler, flips a
+    verdict in its record set, posts the forged commitment under bond
+    through the pipeline's lane settler, and opens the flipped leaf on
+    chain as a challenger.  Returns ``(slashed_ok, slashed_events)``.
     """
     from .chain import Transaction
     from .rollup import build_checkpoint
 
-    contract = chain.contract_at(contract_address)
-    result = scheduler.run_epoch(epoch)
+    chain = pipeline.chain
+    contract = pipeline.contract
+    result = pipeline.scheduler.run_epoch(epoch)
     records = list(result.checkpoint.records)
     records[0] = records[0].flipped()
     forged = build_checkpoint(epoch, tuple(records))
-    receipt = chain.transact(
-        Transaction(
-            sender=poster,
-            to=contract_address,
-            method="post_checkpoint",
-            args=(forged.checkpoint.to_bytes(),),
-            value=contract.posting_bond_wei,
-        ),
-        payload_bytes=forged.checkpoint.byte_size(),
-    )
+    receipt = pipeline.settler.post_checkpoint(forged.checkpoint)
     challenger = chain.create_account(1.0, label="challenger")
     opening = forged.prove(records[0].name)
     challenge_receipt = chain.transact(
         Transaction(
             sender=challenger,
-            to=contract_address,
+            to=pipeline.contract_address,
             method="challenge_leaf",
             args=(
                 receipt.return_value,
@@ -405,13 +398,8 @@ def _run_sharded_settlement(
             # A lying lane aggregator flips one verdict; the fraud proof on
             # that lane's bonded contract slashes it (soundness per lane).
             lane_id = min(aggregator.pipelines)
-            pipeline = aggregator.pipelines[lane_id]
             fraud_caught, _ = _slash_forged_checkpoint(
-                fabric.lane(lane_id),
-                pipeline.contract_address,
-                pipeline.aggregator,
-                aggregator.schedulers[lane_id],
-                epochs,
+                aggregator.pipelines[lane_id], epochs
             )
             print(f"fraud proof (lane {lane_id}): forged lane checkpoint "
                   f"{'slashed' if fraud_caught else 'NOT slashed'}")
@@ -1091,18 +1079,23 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
     from .chain.fabric import ShardedChainFabric
     from .chain.mempool import MempoolConfig
     from .da import (
+        DaCommitment,
         DaParams,
         DaSampler,
         DaWithholdingDetected,
-        NmtProof,
-        build_da_bundle,
         bundle_fetch,
         detection_probability,
     )
     from .engine import AuditExecutor, AuditInstance
     from .obs import get_registry, register_core_instruments
     from .rollup import Checkpoint, CrossShardAggregator
-    from .rpc import RpcClient, RpcDispatcher, RpcTcpServer, ServiceNode
+    from .rpc import (
+        RpcClient,
+        RpcDispatcher,
+        RpcTcpServer,
+        ServiceNode,
+        da_sample_fetch,
+    )
     from .sim.workloads import archive_file
 
     if not 1 <= args.data_chunks < args.chunks <= 255:
@@ -1144,31 +1137,12 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
         aggregator.run(args.epochs)
         host, port = server.serve_in_thread()
         with RpcClient(host, port) as client:
-
-            def rpc_fetch(lane_id, epoch, indices):
-                reply = client.call(
-                    "da_sample_get",
-                    {"epoch": epoch, "lane": lane_id, "indices": list(indices)},
-                )
-                responses = {}
-                for row in reply["chunks"]:
-                    responses[row["index"]] = (
-                        (bytes.fromhex(row["data"]),
-                         NmtProof.from_object(row["proof"]))
-                        if row["available"]
-                        else None
-                    )
-                return responses
-
-            sampler = DaSampler(rpc_fetch, registry=registry)
+            sampler = DaSampler(da_sample_fetch(client), registry=registry)
             epoch = args.epochs - 1
             listing = client.call("da_commitment_get", {"epoch": epoch})
             print(f"DA commitments for epoch {epoch}: "
                   f"{len(listing['lanes'])} lanes, (n, k) = "
                   f"({da_params.n}, {da_params.k})")
-
-            from .da import DaCommitment
-
             seed = args.seed.to_bytes(8, "big", signed=True)
             commitments = {
                 row["lane"]: DaCommitment.from_bytes(
@@ -1248,26 +1222,9 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
                     num_leaves=honest.checkpoint.num_leaves,
                     proof_digest=honest.checkpoint.proof_digest,
                 )
-                receipt = lane.transact(
-                    Transaction(
-                        sender=pipeline.aggregator,
-                        to=pipeline.contract_address,
-                        method="post_checkpoint",
-                        args=(forged.to_bytes(),),
-                        value=contract.posting_bond_wei,
-                    ),
-                    payload_bytes=forged.byte_size(),
-                )
-                da_bundle = build_da_bundle(lane_id, extra, honest, da_params)
-                lane.transact(
-                    Transaction(
-                        sender=pipeline.aggregator,
-                        to=pipeline.contract_address,
-                        method="post_da_root",
-                        args=(receipt.return_value,
-                              da_bundle.commitment.to_bytes()),
-                    ),
-                    payload_bytes=da_bundle.commitment.byte_size(),
+                receipt = pipeline.settler.post_checkpoint(forged)
+                da_bundle, _ = pipeline.settler.post_da_root(
+                    receipt.return_value, honest
                 )
                 local = DaSampler(
                     bundle_fetch({(lane_id, extra): da_bundle}),

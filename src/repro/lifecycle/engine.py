@@ -55,6 +55,7 @@ from ..obs.tracing import NULL_TRACER, Tracer
 from ..randomness import HashChainBeacon
 from ..rollup.checkpoint import build_checkpoint
 from ..rollup.fabric import build_fabric_checkpoint
+from ..rollup.pipeline import LaneSettler
 from ..rollup.records import records_from_epoch
 from ..sim.workloads import archive_file
 from ..storage import DsnCluster, ReputationWeightedPlacement, SimulatedNetwork
@@ -223,8 +224,6 @@ class LifecycleEngine:
         self._shards: dict[int, tuple[str, ShardAudit]] = {}
         #: lane id -> (aggregator account, checkpoint contract address)
         self.lane_settlement: dict[int, tuple[str, str]] = {}
-        #: names already registered on their lane's checkpoint contract
-        self._registered: set[int] = set()
         self._build_world()
 
     def _init_observability(self, tracer: Tracer | None) -> None:
@@ -384,9 +383,12 @@ class LifecycleEngine:
     # ------------------------------------------------------------------ #
 
     def _transact(self, sender, to, method, args=(), value=0, payload_bytes=0):
-        tx = Transaction(
-            sender=sender, to=to, method=method, args=tuple(args), value=value
-        )
+        tx = Transaction(sender=sender, to=to, method=method, args=tuple(args),
+                         value=value)
+        return self._submit(tx, payload_bytes)
+
+    def _submit(self, tx: Transaction, payload_bytes: int = 0):
+        """Execute ``tx`` directly, or via its lane's mempool in mempool mode."""
         if not self.config.mempool:
             return self.fabric.transact(tx, payload_bytes=payload_bytes)
         # Mempool mode: the engine behaves like any other fee-paying user —
@@ -408,11 +410,11 @@ class LifecycleEngine:
         # transaction to the next — empty — block.
         for _ in range(3):
             lane.mine_block()
-            receipt = pool.last_drained.get((sender, entry.tx.nonce))
+            receipt = pool.last_drained.get((tx.sender, entry.tx.nonce))
             if receipt is not None:
                 return receipt
         raise RuntimeError(
-            f"pooled transaction {method} was not drained into a block"
+            f"pooled transaction {tx.method} was not drained into a block"
         )
 
     def _score_of(self, provider: str) -> float:
@@ -607,26 +609,18 @@ class LifecycleEngine:
         gas = 0
         for lane_id in sorted(by_lane):
             account, address = self.lane_settlement[lane_id]
+            settler = LaneSettler(
+                self.fabric.lane(lane_id), address, account,
+                lane_id=lane_id, transact=self._submit,
+            )
             for record in by_lane[lane_id]:
-                gas += self._register_instance(lane_id, record.name)
+                receipt = settler.register(self.executor.instances[record.name])
+                gas += receipt.gas_used if receipt is not None else 0
             with self.tracer.span("checkpoint_build", epoch=epoch, lane=lane_id):
                 bundle = build_checkpoint(epoch, tuple(by_lane[lane_id]))
-            commitment_bytes = bundle.checkpoint.to_bytes()
-            contract = self.fabric.lane(lane_id).contract_at(address)
-            assert isinstance(contract, CheckpointContract)
             with self.tracer.span("post", epoch=epoch, lane=lane_id):
-                receipt = self._transact(
-                    account,
-                    address,
-                    "post_checkpoint",
-                    (commitment_bytes,),
-                    value=contract.posting_bond_wei,
-                    payload_bytes=len(commitment_bytes),
-                )
-            if not receipt.success:
-                raise RuntimeError(
-                    f"lane {lane_id} checkpoint failed: {receipt.error}"
-                )
+                # No DA commitment yet: lifecycle lanes settle without one.
+                receipt, _, _ = settler.post(bundle)
             gas += receipt.gas_used
             lane_bundles.append((lane_id, bundle))
         fabric_bundle = build_fabric_checkpoint(epoch, lane_bundles)
@@ -641,25 +635,6 @@ class LifecycleEngine:
             gas=gas,
         )
         return gas
-
-    def _register_instance(self, lane_id: int, name: int) -> int:
-        if name in self._registered:
-            return 0
-        _, audit = self._shards[name]
-        assert audit.package is not None
-        account, address = self.lane_settlement[lane_id]
-        pk_bytes = audit.package.public.to_bytes()
-        receipt = self._transact(
-            account,
-            address,
-            "register_instance",
-            (name, pk_bytes, audit.package.num_chunks),
-            payload_bytes=len(pk_bytes) + 36,
-        )
-        if not receipt.success:
-            raise RuntimeError(f"instance registration failed: {receipt.error}")
-        self._registered.add(name)
-        return receipt.gas_used
 
     # -- phase 4: reputation reports --------------------------------------- #
 

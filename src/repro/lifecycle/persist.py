@@ -91,7 +91,6 @@ def save_engine(engine) -> Path:
         "registry_address": engine.registry_address,
         "oracle": engine.oracle,
         "lane_settlement": engine.lane_settlement,
-        "registered": set(engine._registered),
         "wal_sizes": wal_sizes,
         "fabric_state_hash": engine.fabric.state_hash(),
     }
@@ -189,7 +188,6 @@ def load_engine(persist_dir: str, **overrides):
     engine.registry_address = state["registry_address"]
     engine.oracle = state["oracle"]
     engine.lane_settlement = state["lane_settlement"]
-    engine._registered = set(state["registered"])
 
     engine._churn = ChurnModel(config.hazard_config(), rng=random.Random())
     engine._churn.rng.setstate(state["churn_rng"])

@@ -235,14 +235,6 @@ class FabricSettlement:
     def total_commitment_gas(self) -> int:
         return sum(settled.receipt.gas_used for settled in self.lanes.values())
 
-    def da_commitments(self) -> dict[int, object]:
-        """Per-lane DA commitments for this epoch (empty without DA)."""
-        return {
-            lane_id: settled.da.commitment
-            for lane_id, settled in self.lanes.items()
-            if settled.da is not None
-        }
-
 
 class CrossShardAggregator:
     """Settles engine epochs across every fabric lane and rolls them up.

@@ -11,7 +11,10 @@ Glue between the three layers the rollup spans:
   records the commitment under a bonded fraud-proof window.
 
 The pipeline plays the *aggregator* role: it posts commitments from its
-own funded account, retains every epoch's
+own funded account through a :class:`LaneSettler` — the one place any
+caller (this pipeline, the cross-shard aggregator's per-lane pipelines,
+the lifecycle engine, the CLI's fraud demos) puts settlement
+transactions on a lane — retains every epoch's
 :class:`~.checkpoint.CheckpointBundle` (the data-availability obligation —
 leaves must be servable to challengers and light clients), and exposes the
 per-epoch on-chain receipts so callers can compare measured bytes/gas
@@ -66,8 +69,92 @@ class SettledEpoch:
     da_receipt: Receipt | None = field(default=None)
 
 
+class LaneSettler:
+    """Posts one lane's settlement transactions — the only code that does.
+
+    Registers audit instances idempotently against the contract's own
+    ``instances`` registry, posts bonded checkpoints and, with
+    ``da_params`` set, builds and posts each epoch's DA commitment.  The
+    one injected dependency is ``transact(tx, payload_bytes) -> Receipt``:
+    the lane chain's own ``transact`` by default; the lifecycle engine
+    routes it through the lane's fee-market mempool instead.
+    """
+
+    def __init__(
+        self,
+        chain,
+        contract_address: str,
+        account: str,
+        lane_id: int = 0,
+        da_params=None,
+        transact=None,
+    ):
+        self.chain = chain
+        self.contract_address = contract_address
+        self.account = account
+        self.lane_id = lane_id
+        self.da_params = da_params
+        self._transact = transact
+
+    @property
+    def contract(self):
+        # Imported here, not at module level: checkpoint_contract imports
+        # rollup.checkpoint, so a top-level import would be circular.
+        from ..chain.contracts.checkpoint_contract import CheckpointContract
+
+        contract = self.chain.contract_at(self.contract_address)
+        assert isinstance(contract, CheckpointContract)
+        return contract
+
+    def _send(self, method: str, args: tuple, payload_bytes: int,
+              value: int = 0) -> Receipt:
+        tx = Transaction(sender=self.account, to=self.contract_address,
+                         method=method, args=args, value=value)
+        # Resolved per call so class-level instrumentation of
+        # ``Blockchain.transact`` sees settlement traffic.
+        receipt = (self._transact or self.chain.transact)(tx, payload_bytes)
+        if not receipt.success:
+            raise RuntimeError(f"lane {self.lane_id} {method} failed: {receipt.error}")
+        return receipt
+
+    def register(self, instance) -> Receipt | None:
+        """Register an audit instance once; ``None`` if already on chain."""
+        if instance.name in self.contract.instances:
+            return None
+        pk_bytes = instance.public.to_bytes()
+        return self._send("register_instance",
+                          (instance.name, pk_bytes, instance.num_chunks),
+                          len(pk_bytes) + 36)
+
+    def post_checkpoint(self, checkpoint) -> Receipt:
+        """Post one commitment under the contract's bond."""
+        data = checkpoint.to_bytes()
+        return self._send("post_checkpoint", (data,), len(data),
+                          value=self.contract.posting_bond_wei)
+
+    def post_da_root(self, checkpoint_id: int, bundle: CheckpointBundle):
+        """Erasure-code ``bundle`` and bind its DA root: ``(DaBundle, receipt)``."""
+        from ..da.commit import build_da_bundle
+
+        da_bundle = build_da_bundle(
+            self.lane_id, bundle.checkpoint.epoch, bundle, self.da_params
+        )
+        data = da_bundle.commitment.to_bytes()
+        return da_bundle, self._send("post_da_root", (checkpoint_id, data), len(data))
+
+    def post(self, bundle: CheckpointBundle):
+        """Settle one epoch: ``(receipt, da_bundle, da_receipt)``.
+
+        The DA pair is ``(None, None)`` without ``da_params``.
+        """
+        receipt = self.post_checkpoint(bundle.checkpoint)
+        if self.da_params is None:
+            return receipt, None, None
+        return (receipt, *self.post_da_root(receipt.return_value, bundle))
+
+
 class CheckpointPipeline:
-    """Runs engine epochs and settles each as one checkpoint transaction."""
+    """Runs engine epochs and settles each through a :class:`LaneSettler`."""
 
     def __init__(
         self,
@@ -86,8 +173,10 @@ class CheckpointPipeline:
         self.chain = chain
         self.contract_address = contract_address
         self.aggregator = aggregator_account
-        self.da_params = da_params
-        self.lane_id = lane_id
+        self.settler = LaneSettler(
+            chain, contract_address, aggregator_account,
+            lane_id=lane_id, da_params=da_params,
+        )
         self.settled: list[SettledEpoch] = []
         # Settled epochs indexed by number: lookups used to linear-scan
         # `settled` and leak bare KeyErrors; the index keeps serving O(1)
@@ -96,13 +185,7 @@ class CheckpointPipeline:
 
     @property
     def contract(self):
-        # Imported here, not at module level: checkpoint_contract imports
-        # rollup.checkpoint, so a top-level import would be circular.
-        from ..chain.contracts.checkpoint_contract import CheckpointContract
-
-        contract = self.chain.contract_at(self.contract_address)
-        assert isinstance(contract, CheckpointContract)
-        return contract
+        return self.settler.contract
 
     def register_fleet(self) -> None:
         """Push every scheduled instance's metadata into the on-chain registry.
@@ -112,71 +195,20 @@ class CheckpointPipeline:
         """
         names = getattr(self.scheduler, "names", None)
         for instance in self.scheduler.executor.instances.values():
-            if names is not None and instance.name not in names:
-                continue
-            if instance.name in self.contract.instances:
-                continue
-            pk_bytes = instance.public.to_bytes()
-            receipt = self.chain.transact(
-                Transaction(
-                    sender=self.aggregator,
-                    to=self.contract_address,
-                    method="register_instance",
-                    args=(instance.name, pk_bytes, instance.num_chunks),
-                ),
-                payload_bytes=len(pk_bytes) + 36,
-            )
-            if not receipt.success:
-                raise RuntimeError(
-                    f"instance registration failed: {receipt.error}"
-                )
+            if names is None or instance.name in names:
+                self.settler.register(instance)
 
     def settle_epoch(self, epoch: int) -> SettledEpoch:
         """Run one engine epoch and post its commitment on chain."""
         result = self.scheduler.run_epoch(epoch)
         bundle = result.checkpoint
         assert bundle is not None, "checkpoint_mode scheduler returns a bundle"
-        commitment_bytes = bundle.checkpoint.to_bytes()
-        receipt = self.chain.transact(
-            Transaction(
-                sender=self.aggregator,
-                to=self.contract_address,
-                method="post_checkpoint",
-                args=(commitment_bytes,),
-                value=self.contract.posting_bond_wei,
-            ),
-            payload_bytes=len(commitment_bytes),
-        )
-        if not receipt.success:
-            raise RuntimeError(f"checkpoint posting failed: {receipt.error}")
-        checkpoint_id = receipt.return_value
-        da_bundle = None
-        da_receipt = None
-        if self.da_params is not None:
-            from ..da.commit import build_da_bundle
-
-            da_bundle = build_da_bundle(
-                self.lane_id, epoch, bundle, self.da_params
-            )
-            da_bytes = da_bundle.commitment.to_bytes()
-            da_receipt = self.chain.transact(
-                Transaction(
-                    sender=self.aggregator,
-                    to=self.contract_address,
-                    method="post_da_root",
-                    args=(checkpoint_id, da_bytes),
-                ),
-                payload_bytes=len(da_bytes),
-            )
-            if not da_receipt.success:
-                raise RuntimeError(
-                    f"DA commitment posting failed: {da_receipt.error}"
-                )
+        receipt, da_bundle, da_receipt = self.settler.post(bundle)
         settled = SettledEpoch(
             epoch=epoch,
             result=result,
             bundle=bundle,
-            checkpoint_id=checkpoint_id,
+            checkpoint_id=receipt.return_value,
             receipt=receipt,
             da=da_bundle,
             da_receipt=da_receipt,

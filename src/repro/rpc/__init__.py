@@ -34,7 +34,7 @@ from .codec import (
     rejection_error,
     validate_request,
 )
-from .node import SERVICE_METHODS, ServiceNode
+from .node import SERVICE_METHODS, ServiceNode, da_sample_fetch
 from .server import RpcTcpServer, probe
 from .service import RpcDispatcher
 
@@ -57,6 +57,7 @@ __all__ = [
     "SERVICE_METHODS",
     "ServiceNode",
     "UNSUPPORTED",
+    "da_sample_fetch",
     "decode_frame",
     "encode_error",
     "encode_frame",

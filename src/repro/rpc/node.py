@@ -87,6 +87,32 @@ def _merkle_proof_object(proof) -> dict:
     }
 
 
+def da_sample_fetch(client):
+    """A :class:`~repro.da.sampling.DaSampler` fetch over ``da_sample_get``.
+
+    The client half of :meth:`ServiceNode.da_sample_get`: decodes its
+    wire rows back into ``{index: (chunk, NmtProof) | None}``, a withheld
+    chunk answering ``None``.
+    """
+    from ..da.nmt import NmtProof
+
+    def fetch(lane_id, epoch, indices):
+        reply = client.call(
+            "da_sample_get",
+            {"epoch": epoch, "lane": lane_id, "indices": list(indices)},
+        )
+        return {
+            row["index"]: (
+                (bytes.fromhex(row["data"]), NmtProof.from_object(row["proof"]))
+                if row["available"]
+                else None
+            )
+            for row in reply["chunks"]
+        }
+
+    return fetch
+
+
 class ServiceNode:
     """One long-running audit-service node over a chain (or fabric)."""
 

@@ -27,6 +27,18 @@ def _checksum(data: bytes) -> bytes:
     return hashlib.sha256(b"SHARD" + data).digest()[:16]
 
 
+class ShardsUnrecoverable(RuntimeError):
+    """Too few healthy shards survive to regenerate a lost one."""
+
+    def __init__(self, file_id: str, survivors: int, needed: int):
+        super().__init__(
+            f"{file_id}: only {survivors} of {needed} needed shards survive"
+        )
+        self.file_id = file_id
+        self.survivors = survivors
+        self.needed = needed
+
+
 @dataclass
 class StorageNode:
     """One storage provider's disk + network identity."""
@@ -214,6 +226,10 @@ class DsnClient:
             data = node.get(manifest.file_id, location.shard_index) if node else None
             if data is not None and _checksum(data) == location.checksum:
                 survivors.append(Shard(index=location.shard_index, data=data))
+        if len(survivors) < manifest.erasure_k:
+            raise ShardsUnrecoverable(
+                manifest.file_id, len(survivors), manifest.erasure_k
+            )
         lost = [loc for loc in manifest.shards if loc.provider == provider]
         healthy = [loc for loc in manifest.shards if loc.provider != provider]
         ciphertext = code.decode(survivors, manifest.ciphertext_length)

@@ -72,6 +72,10 @@ class TestCapabilities:
         )
 
 
+#: Disk size for tests that fill nodes: room for four 1000-byte shards.
+SMALL_DISK = 4096
+
+
 class TestPlacement:
     def test_ring_matches_client_default(self, cluster):
         strategy = RingPlacement()
@@ -84,8 +88,10 @@ class TestPlacement:
 
     def test_capacity_aware_skips_full_nodes(self, cluster):
         ring_order = RingPlacement().select(cluster, "file-y", 10)
-        # Fill the first-choice node completely.
+        # Fill the first-choice node completely (a small disk, so the
+        # filler does not materialise the default 1 GiB capacity).
         first = cluster.node(ring_order[0])
+        first.capacity_bytes = SMALL_DISK
         first.put("filler", 0, b"\x00" * (first.capacity_bytes - 10))
         strategy = CapacityAwarePlacement(shard_bytes=1000)
         selected = strategy.select(cluster, "file-y", 4)
@@ -93,6 +99,7 @@ class TestPlacement:
 
     def test_capacity_aware_fails_when_impossible(self, cluster):
         for node in cluster.nodes.values():
+            node.capacity_bytes = SMALL_DISK
             node.put("filler", 0, b"\x00" * (node.capacity_bytes - 10))
         strategy = CapacityAwarePlacement(shard_bytes=1000)
         with pytest.raises(RuntimeError):
