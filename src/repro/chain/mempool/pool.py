@@ -237,27 +237,6 @@ class Mempool:
             default=0,
         )
 
-    def telemetry_snapshot(self) -> dict:
-        """One read-only view of this pool's cumulative telemetry.
-
-        Every counter here is **cumulative over the pool's lifetime** and is
-        never reset by reads (PROTOCOL.md §11): ``stats``, ``rejections``
-        and ``priority_inversions`` only ever grow, and ``block_tips`` keys
-        every mined block number to the tips (wei/gas) its drained
-        transactions paid, in drain order.  Callers get copies, so mutating
-        the snapshot never perturbs the live telemetry.
-        """
-        return {
-            "depth": len(self.store.pool),
-            "base_fee_wei": self.store.base_fee_wei,
-            "stats": dict(self.stats),
-            "rejections": dict(self.rejections),
-            "priority_inversions": self.priority_inversions,
-            "block_tips": {
-                number: list(tips) for number, tips in self.block_tips.items()
-            },
-        }
-
     def suggest_fees(self, tip_gwei: float = 1.0) -> tuple[float, float]:
         """Default tip policy against the live base fee, in gwei."""
         max_fee_wei, tip_wei = suggest_fees(self.store.base_fee_wei, tip_gwei)

@@ -32,6 +32,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 from .chain import (
     Blockchain,
@@ -102,13 +104,108 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if contract.fails == (0 if args.drop_after is None else contract.fails) else 1
 
 
+def _fleet(params, rng, size: int, files: int, owners) -> list:
+    """``files`` audit instances per owner id; file ``i`` holds the
+    archive tagged ``{owner}-{i}``.
+
+    Each owner generates one keypair (with its first file) and reuses it.
+    """
+    from .engine import AuditInstance
+    from .sim.workloads import archive_file
+
+    instances = []
+    for owner_id in owners:
+        owner = DataOwner(params, rng=rng)
+        for index in range(files):
+            package = owner.prepare(
+                archive_file(size, tag=f"{owner_id}-{index}").data,
+                fresh_keypair=index == 0,
+            )
+            instances.append(AuditInstance.from_package(package, owner_id))
+    return instances
+
+
+@dataclass
+class _Service:
+    """What :func:`_settling_fabric` stands up; the RPC parts only when hosted."""
+
+    fabric: object
+    aggregator: object
+    registry: object = None
+    node: object = None
+    dispatcher: object = None
+    server: object = None
+
+
+@contextmanager
+def _settling_fabric(instances, params, rng, tag: str, lanes: int, *,
+                     workers: int = 1, crypto_cache=None,
+                     concurrent: bool = False, tracer=None, da_params=None,
+                     persist=None, host=None, port: int = 0):
+    """A chain fabric settling ``instances`` through one cross-shard aggregator.
+
+    Shared by every command that settles epochs: ``checkpoint``/``shard``
+    (``persist`` = WAL-backed lanes) and the hosted ``serve``, ``top
+    --demo`` and ``da-sample``.  With ``host`` set the lanes take ingress
+    through fee-market mempools and a :class:`~repro.rpc.ServiceNode` is
+    bound to a JSON-RPC socket, not yet serving: callers settle first,
+    then ``server.serve_in_thread()``.  One ``finally`` tears everything
+    down: auto-miner, server, aggregator, executor, fabric.
+    """
+    from .chain.fabric import ShardedChainFabric
+    from .chain.mempool import MempoolConfig
+    from .engine import AuditExecutor
+    from .obs import get_registry, register_core_instruments
+    from .rollup import CrossShardAggregator
+    from .rpc import RpcDispatcher, RpcTcpServer, ServiceNode
+
+    hosted = host is not None
+    fabric = ShardedChainFabric(
+        num_lanes=lanes,
+        persist_dir=persist,
+        mempool=MempoolConfig() if hosted else None,
+        concurrent=concurrent,
+    )
+    executor = AuditExecutor(instances, workers=workers, cache_dir=crypto_cache)
+    aggregator = CrossShardAggregator(
+        fabric, executor, params, HashChainBeacon(b"cli-" + tag.encode()),
+        rng=rng, concurrent_lanes=concurrent, pooled_verify=workers != 1,
+        tracer=tracer, da_params=da_params,
+    )
+    service = _Service(fabric, aggregator)
+    if hosted:
+        # The service hosts the process-wide registry: every layer below
+        # (mempool, fabric, engine) records into it by default.
+        service.registry = get_registry()
+        register_core_instruments(service.registry)
+        fabric.attach_gauges(service.registry)
+        service.node = ServiceNode(fabric, aggregator=aggregator)
+        service.dispatcher = RpcDispatcher(
+            registry=service.registry, tracer=aggregator.tracer
+        )
+        service.node.register_on(service.dispatcher)
+        service.server = RpcTcpServer(service.dispatcher, host=host, port=port)
+    try:
+        yield service
+    finally:
+        if hosted:
+            service.node.stop_auto_mine()
+            service.server.close()
+        aggregator.close()
+        executor.close()
+        fabric.close()
+
+
 def _cmd_engine(args: argparse.Namespace) -> int:
     """Run the parallel audit engine over an owners x files fleet."""
     import time
 
-    from .engine import AuditExecutor, AuditInstance, EpochScheduler
-    from .sim.workloads import archive_file
+    from .chain.fabric import lane_index_for_key
+    from .engine import AuditExecutor, EpochScheduler
 
+    if args.lanes < 1:
+        print("engine: --lanes must be >= 1", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
     print(
@@ -116,270 +213,150 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         f"({args.owners * args.files} audit instances), s={args.s}, k={args.k}"
     )
     t0 = time.perf_counter()
-    instances = []
-    for owner_index in range(args.owners):
-        owner = DataOwner(params, rng=rng)
-        for file_index in range(args.files):
-            package = owner.prepare(
-                archive_file(args.size, tag=f"o{owner_index}f{file_index}").data,
-                fresh_keypair=file_index == 0,
-            )
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
+    instances = _fleet(params, rng, args.size, args.files,
+                       [f"owner-{o}" for o in range(args.owners)])
     print(f"fleet prepared in {time.perf_counter() - t0:.1f} s")
+    slices: dict[int, set[int]] = {}
+    for instance in instances:
+        lane = lane_index_for_key(instance.name, args.lanes)
+        slices.setdefault(lane, set()).add(instance.name)
+    ok = True
     with AuditExecutor(
         instances, workers=args.workers, cache_dir=args.crypto_cache
     ) as executor:
+        # One scheduler per fabric lane over the shared process pool: each
+        # drives its deterministic slice of the fleet.
         beacon = HashChainBeacon(b"cli-engine")
-        if args.lanes > 1:
-            # One scheduler per fabric lane over the shared process pool:
-            # each drives its deterministic slice of the fleet.
-            from .chain.fabric import lane_index_for_key
-
-            slices: dict[int, set[int]] = {}
-            for instance in instances:
-                lane = lane_index_for_key(instance.name, args.lanes)
-                slices.setdefault(lane, set()).add(instance.name)
-            schedulers = {
-                lane: EpochScheduler(
-                    executor, params, beacon, rng=rng, names=names
+        schedulers = {
+            lane: EpochScheduler(executor, params, beacon, rng=rng, names=names)
+            for lane, names in sorted(slices.items())
+        }
+        print(f"workers: {executor.workers}, lanes: {args.lanes} "
+              f"({', '.join(str(len(n)) for _, n in sorted(slices.items()))}"
+              f" audits)")
+        for epoch in range(args.epochs):
+            for lane, scheduler in schedulers.items():
+                result = scheduler.run_epoch(epoch)
+                ok = ok and bool(result.batch_ok)
+                print(
+                    f"epoch {epoch} lane {lane}: {result.num_audits} audits, "
+                    f"prove {result.prove_seconds:.2f} s + "
+                    f"batch-verify {result.verify_seconds:.2f} s "
+                    f"-> {result.audits_per_second:.1f} audits/s, "
+                    f"batch {'OK' if result.batch_ok else 'FAILED'}"
                 )
-                for lane, names in sorted(slices.items())
-            }
-            print(f"workers: {executor.workers}, lanes: {args.lanes} "
-                  f"({', '.join(str(len(s)) for s in slices.values())} audits)")
-            ok = True
-            for epoch in range(args.epochs):
-                for lane, scheduler in schedulers.items():
-                    result = scheduler.run_epoch(epoch)
-                    ok = ok and bool(result.batch_ok)
-                    print(
-                        f"epoch {epoch} lane {lane}: {result.num_audits} audits, "
-                        f"prove {result.prove_seconds:.2f} s + "
-                        f"batch-verify {result.verify_seconds:.2f} s, "
-                        f"batch {'OK' if result.batch_ok else 'FAILED'}"
-                    )
-            return 0 if ok else 1
-        scheduler = EpochScheduler(executor, params, beacon, rng=rng)
-        print(f"workers: {executor.workers}")
-        for result in scheduler.run(args.epochs):
-            print(
-                f"epoch {result.epoch}: {result.num_audits} audits, "
-                f"prove {result.prove_seconds:.2f} s + "
-                f"batch-verify {result.verify_seconds:.2f} s "
-                f"-> {result.audits_per_second:.1f} audits/s, "
-                f"batch {'OK' if result.batch_ok else 'FAILED'}"
-            )
-    return 0 if all(r.batch_ok for r in scheduler.history) else 1
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Epoch rollup: settle a fleet's audits as one commitment per epoch."""
-    from .chain import (
-        ChainExplorer,
-        CheckpointContract,
-        CheckpointLightClient,
-        audit_the_auditor_checkpoints,
-        checkpoint_amortization,
-    )
-    from .engine import AuditExecutor, AuditInstance, EpochScheduler
-    from .rollup import CheckpointPipeline
-    from .sim.workloads import archive_file
-
-    if args.epochs < 1 or args.owners < 1 or args.files < 1:
-        print("checkpoint: --epochs, --owners and --files must be >= 1",
-              file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    params = ProtocolParams(s=args.s, k=args.k)
-    instances = []
-    for owner_index in range(args.owners):
-        owner = DataOwner(params, rng=rng)
-        for file_index in range(args.files):
-            package = owner.prepare(
-                archive_file(args.size, tag=f"o{owner_index}f{file_index}").data,
-                fresh_keypair=file_index == 0,
-            )
-            instances.append(
-                AuditInstance.from_package(package, owner_id=f"owner-{owner_index}")
-            )
-    fleet = len(instances)
-    if args.lanes > 1:
-        # Sharded rollup: settle the same fleet across fabric lanes with
-        # per-lane commitments plus the cross-shard super-commitment.
-        return _run_sharded_settlement(
-            instances,
-            params,
-            lanes=args.lanes,
-            epochs=args.epochs,
-            workers=args.workers,
-            rng=rng,
-            persist=None,
-            fraud=args.fraud,
-        )
-    print(f"fleet: {args.owners} owners x {args.files} files "
-          f"({fleet} audit instances), s={args.s}, k={args.k}")
-
-    beacon = HashChainBeacon(b"cli-checkpoint")
-    chain = Blockchain(block_time=15.0)
-    aggregator = chain.create_account(10.0, label="aggregator")
-    contract = CheckpointContract(beacon, params, fraud_window=1000.0)
-    address = chain.deploy(contract, deployer=aggregator)
-
-    with AuditExecutor(instances, workers=args.workers) as executor:
-        scheduler = EpochScheduler(
-            executor, params, beacon, rng=rng, checkpoint_mode=True
-        )
-        pipeline = CheckpointPipeline(scheduler, chain, address, aggregator)
-        pipeline.register_fleet()
-        for settled in pipeline.run(args.epochs):
-            commitment = settled.bundle.checkpoint
-            print(
-                f"epoch {settled.epoch}: {commitment.num_leaves} audits -> "
-                f"1 checkpoint tx ({commitment.byte_size()} B on chain, "
-                f"{commitment.accepted} accepted / {commitment.rejected} "
-                f"rejected, gas {settled.receipt.gas_used:,})"
-            )
-
-        # Any third party can verify per-file inclusion from raw bytes.
-        client = CheckpointLightClient(
-            contract.export_instance_registry(), params, beacon
-        )
-        sample = instances[0].name
-        bundle = pipeline.settled[0].bundle
-        outcome = client.verify_inclusion(bundle.checkpoint, bundle.prove(sample))
-        print(f"light client: inclusion of file {sample:#x} in epoch 0 -> "
-              f"{'OK' if outcome.ok else outcome.reason}")
-        replay = audit_the_auditor_checkpoints(contract, pipeline)
-        print(f"light client: replayed {replay.checkpoints_checked} checkpoints "
-              f"({replay.rounds_checked} rounds) -> "
-              f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
-
-        amortized = checkpoint_amortization(chain.schedule, fleet)
-        print(
-            f"per-round path: {amortized.per_round_trail_bytes:,} trail B, "
-            f"{amortized.per_round_gas:,} gas per epoch; checkpointed: "
-            f"{amortized.checkpoint_trail_bytes} B, "
-            f"{amortized.checkpoint_gas:,} gas "
-            f"({amortized.bytes_reduction:,.0f}x bytes, "
-            f"{amortized.gas_reduction:,.0f}x gas)"
-        )
-
-        fraud_caught = True
-        if args.fraud:
-            # A lying aggregator flips one verdict; anyone holding the
-            # leaves opens that leaf on chain and takes the bond.
-            fraud_caught, slashed = _slash_forged_checkpoint(
-                pipeline, args.epochs
-            )
-            print(f"fraud proof: forged checkpoint (flipped verdict) "
-                  f"{'slashed' if fraud_caught else 'NOT slashed'}"
-                  + (f", bounty {slashed[0].payload['slashed_wei']:,} wei"
-                     if slashed else ""))
-
-    explorer = ChainExplorer(chain)
-    print("checkpoint log:")
-    for event in explorer.checkpoint_log():
-        print(f"  {event['name']}: {event['payload']}")
-    ok = replay.consistent and fraud_caught and all(
-        s.receipt.success for s in pipeline.settled
-    )
     return 0 if ok else 1
 
 
-def _slash_forged_checkpoint(pipeline, epoch):
-    """Fraud-proof demo shared by ``checkpoint --fraud`` and ``shard --fraud``.
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    """Epoch rollup: settle a fleet's audits as one commitment per lane-epoch."""
+    if min(args.epochs, args.owners, args.files, args.lanes) < 1:
+        print("checkpoint: --epochs, --owners, --files and --lanes must be "
+              ">= 1", file=sys.stderr)
+        return 2
+    rng = random.Random(args.seed)
+    params = ProtocolParams(s=args.s, k=args.k)
+    print(f"fleet: {args.owners} owners x {args.files} files "
+          f"({args.owners * args.files} audit instances), "
+          f"s={args.s}, k={args.k}")
+    instances = _fleet(params, rng, args.size, args.files,
+                       [f"owner-{o}" for o in range(args.owners)])
+    return _settle(instances, params, rng, "checkpoint", args.lanes,
+                   args.epochs, args.workers, fraud=args.fraud)
 
-    Runs one extra engine epoch on ``pipeline``'s scheduler, flips a
-    verdict in its record set, posts the forged commitment under bond
-    through the pipeline's lane settler, and opens the flipped leaf on
-    chain as a challenger.  Returns ``(slashed_ok, slashed_events)``.
+
+def _challenge_forgery(pipeline, epoch: int, forge, label="challenger"):
+    """Fraud-proof demo shared by every ``--fraud`` flag.
+
+    Runs one extra engine epoch on the lane ``pipeline``, posts the
+    commitment ``forge(honest_bundle)`` returns under bond through the
+    pipeline's lane settler, funds a challenger and sends its bonded
+    challenge.  ``forge`` returns ``(forged_checkpoint, evidence)`` where
+    ``evidence(checkpoint_id) -> (method, args, payload_bytes)``.  Returns
+    the ``checkpoint_slashed`` event, or ``None`` if the forgery stood.
     """
     from .chain import Transaction
-    from .rollup import build_checkpoint
 
+    forged, evidence = forge(pipeline.scheduler.run_epoch(epoch).checkpoint)
+    checkpoint_id = pipeline.settler.post_checkpoint(forged).return_value
+    method, args, payload_bytes = evidence(checkpoint_id)
     chain = pipeline.chain
-    contract = pipeline.contract
-    result = pipeline.scheduler.run_epoch(epoch)
-    records = list(result.checkpoint.records)
-    records[0] = records[0].flipped()
-    forged = build_checkpoint(epoch, tuple(records))
-    receipt = pipeline.settler.post_checkpoint(forged.checkpoint)
-    challenger = chain.create_account(1.0, label="challenger")
-    opening = forged.prove(records[0].name)
-    challenge_receipt = chain.transact(
+    challenger = chain.create_account(1.0, label=label)
+    receipt = chain.transact(
         Transaction(
             sender=challenger,
             to=pipeline.contract_address,
-            method="challenge_leaf",
-            args=(
-                receipt.return_value,
-                opening.leaf_data,
-                opening.leaf_index,
-                opening.siblings,
-                opening.directions,
-            ),
-            value=contract.challenge_bond_wei,
+            method=method,
+            args=(checkpoint_id, *args),
+            value=pipeline.contract.challenge_bond_wei,
         ),
-        payload_bytes=len(opening.leaf_data) + 32 * len(opening.siblings),
+        payload_bytes=payload_bytes,
     )
-    slashed = [
-        e for e in challenge_receipt.events if e.name == "checkpoint_slashed"
-    ]
-    return bool(challenge_receipt.success and slashed), slashed
+    slashed = [e for e in receipt.events if e.name == "checkpoint_slashed"]
+    return slashed[0] if receipt.success and slashed else None
 
 
-def _run_sharded_settlement(
-    instances,
-    params,
-    lanes: int,
-    epochs: int,
-    workers: int,
-    rng,
-    persist: str | None,
-    fraud: bool = False,
-) -> int:
-    """Settle a fleet's epochs across a sharded chain fabric.
+def _flip_first_verdict(honest):
+    """Forge one flipped verdict; anyone holding the leaves opens it on chain."""
+    from .rollup import build_checkpoint
 
-    Shared core of ``repro shard`` and ``repro checkpoint --lanes N``:
-    builds the fabric (WAL-persisted under ``persist`` when given), runs a
-    :class:`~repro.rollup.CrossShardAggregator` over one shared executor,
-    verifies a leaf → lane-root → fabric-root inclusion proof plus a full
-    fabric replay with the light client, and reports per-lane gas.
+    records = list(honest.records)
+    records[0] = records[0].flipped()
+    forged = build_checkpoint(honest.checkpoint.epoch, tuple(records))
+    opening = forged.prove(records[0].name)
+    evidence = (
+        "challenge_leaf",
+        (opening.leaf_data, opening.leaf_index, opening.siblings,
+         opening.directions),
+        len(opening.leaf_data) + 32 * len(opening.siblings),
+    )
+    return forged.checkpoint, lambda _checkpoint_id: evidence
+
+
+def _settle(instances, params, rng, tag: str, lanes: int, epochs: int,
+            workers: int, persist: str | None = None,
+            fraud: bool = False) -> int:
+    """Settle a fleet's epochs on a chain fabric: ``checkpoint`` and ``shard``.
+
+    A one-lane fabric is a plain chain.  Every lane posts one checkpoint
+    tx per epoch and the fabric rolls them into a super-commitment; the
+    light client then checks a leaf → lane-root → fabric-root inclusion
+    proof and replays the whole fabric.  Prints the amortization against
+    the per-round path, the per-lane gas and the checkpoint event log;
+    ``fraud`` slashes a forged lane checkpoint and ``persist`` checks that
+    the WAL-backed lanes reopen to the same ``state_hash``.
     """
     from .chain import (
         ChainExplorer,
         CheckpointLightClient,
         ShardedChainFabric,
         audit_the_auditor_fabric,
+        checkpoint_amortization,
     )
-    from .engine import AuditExecutor
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
 
-    beacon = HashChainBeacon(b"cli-shard")
-    fabric = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
     print(f"fabric: {lanes} lanes, fleet {len(instances)}"
           + (f", persisted under {persist}" if persist else " (in-memory)"))
-    with AuditExecutor(instances, workers=workers) as executor:
-        aggregator = CrossShardAggregator(fabric, executor, params, beacon, rng=rng)
+    with _settling_fabric(instances, params, rng, tag, lanes,
+                          workers=workers, persist=persist) as service:
+        fabric, aggregator = service.fabric, service.aggregator
         for settlement in aggregator.run(epochs):
             fabric_ckpt = settlement.fabric.checkpoint
-            lane_parts = ", ".join(
-                f"lane {lane_id}: {settled.bundle.checkpoint.num_leaves} audits"
-                f"/{settled.receipt.gas_used:,} gas"
-                for lane_id, settled in sorted(settlement.lanes.items())
-            )
-            print(f"epoch {settlement.epoch}: {fabric_ckpt.num_leaves} audits -> "
-                  f"{len(settlement.lanes)} lane commitments ({lane_parts})")
+            print(f"epoch {settlement.epoch}: {fabric_ckpt.num_leaves} audits"
+                  f" -> {len(settlement.lanes)} lane commitments")
+            for lane_id, settled in sorted(settlement.lanes.items()):
+                commitment = settled.bundle.checkpoint
+                print(f"  lane {lane_id}: {commitment.num_leaves} audits -> "
+                      f"1 checkpoint tx ({commitment.byte_size()} B on chain,"
+                      f" {commitment.accepted} accepted / "
+                      f"{commitment.rejected} rejected, "
+                      f"gas {settled.receipt.gas_used:,})")
             print(f"  fabric super-commitment: {fabric_ckpt.byte_size()} B, "
                   f"root {fabric_ckpt.fabric_root.hex()[:16]}…, "
                   f"{fabric_ckpt.accepted} accepted / {fabric_ckpt.rejected} rejected")
 
         # Any third party verifies one round from the 87-byte commitment.
         client = CheckpointLightClient(
-            aggregator.export_instance_registry(), params, beacon
+            aggregator.export_instance_registry(), params, aggregator.beacon
         )
         sample = instances[0].name
         first = aggregator.settled[0]
@@ -393,31 +370,51 @@ def _run_sharded_settlement(
               f"checkpoints ({replay.rounds_checked} rounds) -> "
               f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
 
+        lane_id = min(aggregator.pipelines)
+        amortized = checkpoint_amortization(
+            fabric.lane(lane_id).schedule, len(aggregator.lane_names[lane_id])
+        )
+        print(
+            f"per-round path (lane {lane_id}): "
+            f"{amortized.per_round_trail_bytes:,} trail B, "
+            f"{amortized.per_round_gas:,} gas per epoch; checkpointed: "
+            f"{amortized.checkpoint_trail_bytes} B, "
+            f"{amortized.checkpoint_gas:,} gas "
+            f"({amortized.bytes_reduction:,.0f}x bytes, "
+            f"{amortized.gas_reduction:,.0f}x gas)"
+        )
+
         fraud_caught = True
         if fraud:
             # A lying lane aggregator flips one verdict; the fraud proof on
             # that lane's bonded contract slashes it (soundness per lane).
-            lane_id = min(aggregator.pipelines)
-            fraud_caught, _ = _slash_forged_checkpoint(
-                aggregator.pipelines[lane_id], epochs
+            slashed = _challenge_forgery(
+                aggregator.pipelines[lane_id], epochs, _flip_first_verdict
             )
-            print(f"fraud proof (lane {lane_id}): forged lane checkpoint "
-                  f"{'slashed' if fraud_caught else 'NOT slashed'}")
+            fraud_caught = slashed is not None
+            print(f"fraud proof (lane {lane_id}): forged checkpoint "
+                  f"(flipped verdict) "
+                  f"{'slashed' if fraud_caught else 'NOT slashed'}"
+                  + (f", bounty {slashed.payload['slashed_wei']:,} wei"
+                     if fraud_caught else ""))
 
-    explorer = ChainExplorer(fabric)
-    print("per-lane gas totals:")
-    for summary in explorer.lane_summaries():
-        print(f"  lane {summary.lane}: {summary.gas_used:,} gas over "
-              f"{summary.transactions} txs, {summary.chain_bytes:,} chain B, "
-              f"congestion {summary.congestion_seconds:.0f} s")
-    print(f"fabric settlement chain-time (slowest lane): "
-          f"{fabric.settlement_chain_seconds():.0f} s")
+        explorer = ChainExplorer(fabric)
+        print("per-lane gas totals:")
+        for summary in explorer.lane_summaries():
+            print(f"  lane {summary.lane}: {summary.gas_used:,} gas over "
+                  f"{summary.transactions} txs, {summary.chain_bytes:,} chain B, "
+                  f"congestion {summary.congestion_seconds:.0f} s")
+        print(f"fabric settlement chain-time (slowest lane): "
+              f"{fabric.settlement_chain_seconds():.0f} s")
+        print("checkpoint log:")
+        for event in explorer.checkpoint_log():
+            print(f"  {event['name']}: {event['payload']}")
+        if persist:
+            expected = fabric.state_hash()
+            fabric.snapshot()
 
     persisted_ok = True
     if persist:
-        expected = fabric.state_hash()
-        fabric.snapshot()
-        fabric.close()
         reopened = ShardedChainFabric(num_lanes=lanes, persist_dir=persist)
         persisted_ok = reopened.state_hash() == expected
         reopened.close()
@@ -425,48 +422,22 @@ def _run_sharded_settlement(
               f"{'MATCHES' if persisted_ok else 'DIVERGED'} "
               f"({expected[:16]}…)")
 
-    ok = (
-        replay.consistent
-        and fraud_caught
-        and persisted_ok
-        and all(
-            settled.receipt.success
-            for settlement in aggregator.settled
-            for settled in settlement.lanes.values()
-        )
-    )
-    return 0 if ok else 1
+    # Every receipt succeeded: the lane settler raises on a failed post.
+    return 0 if replay.consistent and fraud_caught and persisted_ok else 1
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
     """Sharded chain fabric: lane-partitioned settlement + super-commitment."""
-    from .engine import AuditInstance
-    from .sim.workloads import archive_file
-
     if args.lanes < 1 or args.fleet < 1 or args.epochs < 1:
         print("shard: --lanes, --fleet and --epochs must be >= 1",
               file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    owner = DataOwner(params, rng=rng)
-    instances = []
-    for index in range(args.fleet):
-        package = owner.prepare(
-            archive_file(args.size, tag=f"shard-{index}").data,
-            fresh_keypair=index == 0,
-        )
-        instances.append(AuditInstance.from_package(package, owner_id="fleet"))
-    return _run_sharded_settlement(
-        instances,
-        params,
-        lanes=args.lanes,
-        epochs=args.epochs,
-        workers=args.workers,
-        rng=rng,
-        persist=args.persist or None,
-        fraud=args.fraud,
-    )
+    instances = _fleet(params, rng, args.size, args.fleet, ["shard"])
+    return _settle(instances, params, rng, "shard", args.lanes, args.epochs,
+                   args.workers, persist=args.persist or None,
+                   fraud=args.fraud)
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -807,20 +778,10 @@ def _cmd_congest(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Host the long-lived JSON-RPC audit service over a sharded fabric."""
     import time
+    from contextlib import nullcontext
 
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import (
-        MetricsHttpServer,
-        Tracer,
-        get_registry,
-        register_core_instruments,
-    )
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
-    from .rpc import RpcClient, RpcDispatcher, RpcTcpServer, ServiceNode
-    from .sim.workloads import archive_file
+    from .obs import MetricsHttpServer, Tracer
+    from .rpc import RpcClient
 
     if args.lanes < 1 or args.fleet < 1 or args.epochs < 0:
         print("serve: --lanes and --fleet must be >= 1, --epochs >= 0",
@@ -828,58 +789,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
-    # Observability: the service hosts the process-wide registry (every
-    # layer below — mempool, fabric, engine — records into it by default)
-    # plus an epoch-pipeline tracer for trace_get.  Spans are only
-    # collected on the sequential settlement walk; see CrossShardAggregator.
-    registry = get_registry()
-    register_core_instruments(registry)
-    tracer = Tracer()
-    fabric = ShardedChainFabric(
-        num_lanes=args.lanes,
-        mempool=MempoolConfig(),
-        concurrent=args.concurrent,
-    )
-    fabric.attach_gauges(registry)
-    owner = DataOwner(params, rng=rng)
-    instances = []
-    for index in range(args.fleet):
-        package = owner.prepare(
-            archive_file(args.size, tag=f"serve-{index}").data,
-            fresh_keypair=index == 0,
-        )
-        instances.append(AuditInstance.from_package(package, owner_id="serve"))
-    executor = AuditExecutor(
-        instances, workers=args.workers, cache_dir=args.crypto_cache
-    )
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, HashChainBeacon(b"cli-serve"), rng=rng,
-        concurrent_lanes=args.concurrent, pooled_verify=args.workers != 1,
-        tracer=tracer,
-    )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry, tracer=aggregator.tracer)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host=args.host, port=args.port)
-    metrics_server = None
-    if args.metrics_port >= 0:
-        metrics_server = MetricsHttpServer(
-            registry, host=args.host, port=args.metrics_port
-        )
-        metrics_server.start()
-    try:
-        settlements = aggregator.run(args.epochs)
-        host, port = server.serve_in_thread()
+    instances = _fleet(params, rng, args.size, args.fleet, ["serve"])
+    # Observability: an epoch-pipeline tracer for trace_get next to the
+    # process-wide registry.  Spans are only collected on the sequential
+    # settlement walk; see CrossShardAggregator.
+    with _settling_fabric(
+        instances, params, rng, "serve", args.lanes, workers=args.workers,
+        crypto_cache=args.crypto_cache, concurrent=args.concurrent,
+        tracer=Tracer(), host=args.host, port=args.port,
+    ) as service, (
+        MetricsHttpServer(service.registry, host=args.host,
+                          port=args.metrics_port)
+        if args.metrics_port >= 0 else nullcontext()
+    ) as metrics_server:
+        settlements = service.aggregator.run(args.epochs)
+        host, port = service.server.serve_in_thread()
         print(f"audit service on {host}:{port} — {args.lanes} lanes"
               f"{' (concurrent)' if args.concurrent else ''}, "
               f"{len(instances)} audit instances, "
               f"{len(settlements)} epochs pre-settled, "
-              f"{len(dispatcher.methods())} methods")
+              f"{len(service.dispatcher.methods())} methods")
         if metrics_server is not None:
             print(f"prometheus metrics on http://{metrics_server.host}:"
                   f"{metrics_server.port}/metrics")
         if args.mine_interval > 0:
-            node.start_auto_mine(args.mine_interval)
+            service.node.start_auto_mine(args.mine_interval)
         if args.probe:
             # CI smoke: exercise the service through a real socket
             # client (and the Prometheus endpoint when enabled), then
@@ -924,14 +858,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             print("interrupted; shutting down")
         return 0
-    finally:
-        node.stop_auto_mine()
-        server.close()
-        if metrics_server is not None:
-            metrics_server.stop()
-        aggregator.close()
-        executor.close()
-        fabric.close()
 
 
 def _metric_total(snapshot: dict, name: str) -> float:
@@ -1020,50 +946,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
     # Self-hosted demo: stand up a tiny two-lane service in-process (the
     # same wiring as ``repro serve``), settle one epoch, then read it back
     # through the real socket — used by the CLI smoke tests.
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import Tracer, get_registry, register_core_instruments
-    from .randomness import HashChainBeacon
-    from .rollup import CrossShardAggregator
-    from .rpc import RpcDispatcher, RpcTcpServer, ServiceNode
-    from .sim.workloads import archive_file
+    from .obs import Tracer
 
-    registry = get_registry()
-    register_core_instruments(registry)
     rng = random.Random(0)
     params = ProtocolParams(s=3, k=2)
-    fabric = ShardedChainFabric(num_lanes=2, mempool=MempoolConfig())
-    fabric.attach_gauges(registry)
-    owner = DataOwner(params, rng=rng)
-    instances = [
-        AuditInstance.from_package(
-            owner.prepare(
-                archive_file(400, tag=f"top-{index}").data,
-                fresh_keypair=index == 0,
-            ),
-            owner_id="top",
-        )
-        for index in range(2)
-    ]
-    executor = AuditExecutor(instances, workers=1)
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, HashChainBeacon(b"cli-top"), rng=rng,
-        tracer=Tracer(),
-    )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry, tracer=aggregator.tracer)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host="127.0.0.1", port=0)
-    try:
-        aggregator.run(1)
-        host, port = server.serve_in_thread()
-        return frames(host, port)
-    finally:
-        server.close()
-        aggregator.close()
-        executor.close()
-        fabric.close()
+    instances = _fleet(params, rng, 400, 2, ["top"])
+    with _settling_fabric(instances, params, rng, "top", 2, tracer=Tracer(),
+                          host="127.0.0.1") as service:
+        service.aggregator.run(1)
+        return frames(*service.server.serve_in_thread())
 
 
 def _cmd_da_sample(args: argparse.Namespace) -> int:
@@ -1075,9 +966,7 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
     aggregator caught by the same schedule, and k-of-n reconstruction
     driving an on-chain ``challenge_counts`` slash with ``--fraud``.
     """
-    from .chain import CheckpointLightClient, Transaction
-    from .chain.fabric import ShardedChainFabric
-    from .chain.mempool import MempoolConfig
+    from .chain import CheckpointLightClient
     from .da import (
         DaCommitment,
         DaParams,
@@ -1086,17 +975,7 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
         bundle_fetch,
         detection_probability,
     )
-    from .engine import AuditExecutor, AuditInstance
-    from .obs import get_registry, register_core_instruments
-    from .rollup import Checkpoint, CrossShardAggregator
-    from .rpc import (
-        RpcClient,
-        RpcDispatcher,
-        RpcTcpServer,
-        ServiceNode,
-        da_sample_fetch,
-    )
-    from .sim.workloads import archive_file
+    from .rpc import RpcClient, da_sample_fetch
 
     if not 1 <= args.data_chunks < args.chunks <= 255:
         print("da-sample: need 1 <= --data-chunks < --chunks <= 255",
@@ -1109,33 +988,13 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     params = ProtocolParams(s=args.s, k=args.k)
     da_params = DaParams(n=args.chunks, k=args.data_chunks)
-    registry = get_registry()
-    register_core_instruments(registry)
-    fabric = ShardedChainFabric(num_lanes=args.lanes, mempool=MempoolConfig())
-    owner = DataOwner(params, rng=rng)
-    instances = [
-        AuditInstance.from_package(
-            owner.prepare(
-                archive_file(args.size, tag=f"da-{index}").data,
-                fresh_keypair=index == 0,
-            ),
-            owner_id="da",
-        )
-        for index in range(args.fleet)
-    ]
-    executor = AuditExecutor(instances, workers=1)
-    beacon = HashChainBeacon(b"cli-da-sample")
-    aggregator = CrossShardAggregator(
-        fabric, executor, params, beacon, rng=rng, da_params=da_params
-    )
-    node = ServiceNode(fabric, aggregator=aggregator)
-    dispatcher = RpcDispatcher(registry=registry)
-    node.register_on(dispatcher)
-    server = RpcTcpServer(dispatcher, host="127.0.0.1", port=0)
+    instances = _fleet(params, rng, args.size, args.fleet, ["da"])
     ok = True
-    try:
+    with _settling_fabric(instances, params, rng, "da-sample", args.lanes,
+                          da_params=da_params, host="127.0.0.1") as service:
+        aggregator, registry = service.aggregator, service.registry
         aggregator.run(args.epochs)
-        host, port = server.serve_in_thread()
+        host, port = service.server.serve_in_thread()
         with RpcClient(host, port) as client:
             sampler = DaSampler(da_sample_fetch(client), registry=registry)
             epoch = args.epochs - 1
@@ -1190,7 +1049,8 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
                 reconstruction = sampler.reconstruct(commitment, seed)
                 contract = aggregator.pipelines[lane_id].contract
                 light = CheckpointLightClient(
-                    contract.export_instance_registry(), params, beacon
+                    contract.export_instance_registry(), params,
+                    aggregator.beacon,
                 )
                 replay = light.replay_reconstructed(
                     settled.bundle.checkpoint, reconstruction
@@ -1201,64 +1061,49 @@ def _cmd_da_sample(args: argparse.Namespace) -> int:
                       f"{'consistent' if replay.consistent else 'INCONSISTENT'}")
                 ok = ok and replay.consistent
 
-            if args.fraud:
-                # A lying aggregator posts an honest root with swapped
-                # accepted/rejected counts, plus the DA commitment its
-                # obligation demands.  A light client reconstructs the
-                # leaf set from sampled chunks alone and slashes the
-                # counts forgery on chain.
-                lane_id = min(aggregator.pipelines)
-                pipeline = aggregator.pipelines[lane_id]
-                lane = fabric.lane(lane_id)
-                contract = pipeline.contract
-                extra = args.epochs
-                result = pipeline.scheduler.run_epoch(extra)
-                honest = result.checkpoint
-                forged = Checkpoint(
-                    epoch=extra,
-                    root=honest.checkpoint.root,
-                    accepted=honest.checkpoint.rejected,
-                    rejected=honest.checkpoint.accepted,
-                    num_leaves=honest.checkpoint.num_leaves,
-                    proof_digest=honest.checkpoint.proof_digest,
+        if args.fraud:
+            # A lying aggregator posts an honest root with swapped
+            # accepted/rejected counts, plus the DA commitment its
+            # obligation demands.  A light client reconstructs the leaf
+            # set from sampled chunks alone and slashes the counts
+            # forgery on chain.
+            lane_id = min(aggregator.pipelines)
+            pipeline = aggregator.pipelines[lane_id]
+            used = []
+
+            def swap_counts(honest):
+                real = honest.checkpoint
+                forged = replace(
+                    real, accepted=real.rejected, rejected=real.accepted
                 )
-                receipt = pipeline.settler.post_checkpoint(forged)
-                da_bundle, _ = pipeline.settler.post_da_root(
-                    receipt.return_value, honest
-                )
-                local = DaSampler(
-                    bundle_fetch({(lane_id, extra): da_bundle}),
-                    registry=registry,
-                )
-                reconstruction = local.reconstruct(da_bundle.commitment, seed)
-                challenger = lane.create_account(1.0, label="da-challenger")
-                leaves = reconstruction.counts_challenge_leaves()
-                challenge = lane.transact(
-                    Transaction(
-                        sender=challenger,
-                        to=pipeline.contract_address,
-                        method="challenge_counts",
-                        args=(receipt.return_value, leaves),
-                        value=contract.challenge_bond_wei,
-                    ),
-                    payload_bytes=sum(len(leaf) for leaf in leaves),
-                )
-                slashed = [
-                    e for e in challenge.events
-                    if e.name == "checkpoint_slashed"
-                ]
-                caught = bool(challenge.success and slashed)
-                print(f"fraud proof: counts-forged checkpoint challenged from "
-                      f"{reconstruction.chunks_used} reconstructed chunks -> "
-                      f"{'slashed' if caught else 'NOT slashed'}"
-                      + (f" ({slashed[0].payload['reason']})" if slashed
-                         else ""))
-                ok = ok and caught
-    finally:
-        server.close()
-        aggregator.close()
-        executor.close()
-        fabric.close()
+
+                def evidence(checkpoint_id):
+                    da_bundle, _ = pipeline.settler.post_da_root(
+                        checkpoint_id, honest
+                    )
+                    local = DaSampler(
+                        bundle_fetch({(lane_id, real.epoch): da_bundle}),
+                        registry=registry,
+                    )
+                    reconstruction = local.reconstruct(
+                        da_bundle.commitment, seed
+                    )
+                    used.append(reconstruction.chunks_used)
+                    leaves = reconstruction.counts_challenge_leaves()
+                    return ("challenge_counts", (leaves,),
+                            sum(len(leaf) for leaf in leaves))
+
+                return forged, evidence
+
+            slashed = _challenge_forgery(
+                pipeline, args.epochs, swap_counts, label="da-challenger"
+            )
+            print(f"fraud proof: counts-forged checkpoint challenged from "
+                  f"{used[0]} reconstructed chunks -> "
+                  f"{'slashed' if slashed is not None else 'NOT slashed'}"
+                  + (f" ({slashed.payload['reason']})" if slashed is not None
+                     else ""))
+            ok = ok and slashed is not None
     return 0 if ok else 1
 
 

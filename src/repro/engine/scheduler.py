@@ -92,7 +92,6 @@ class EpochScheduler:
         salt: bytes = b"engine-epoch",
         deterministic: bool = False,
         rng=None,
-        keep_history: bool = True,
         overrides: "dict[int, ProofOverride] | None" = None,
         checkpoint_mode: bool = False,
         names=None,
@@ -134,10 +133,6 @@ class EpochScheduler:
                     f"names not registered with the executor: {sorted(unknown)[:4]}"
                 )
         self.names: "frozenset[int] | None" = names
-        # Long-running services auditing thousands of instances per epoch
-        # should disable history retention: every EpochResult holds all of
-        # its epoch's proofs and challenges.
-        self.keep_history = keep_history
         # Checkpoint mode: every epoch additionally canonicalizes its
         # outcome into a rollup verdict tree (result.checkpoint), batching
         # the whole epoch behind one on-chain commitment before settlement.
@@ -161,7 +156,6 @@ class EpochScheduler:
             )
             cache = PrecomputeCache(store=store)
         self.cache = cache
-        self.history: list[EpochResult] = []
         # Adversary harness hook: files whose proofs come from a strategy
         # callable instead of the engine's honest prover (the batch verifier
         # treats both identically — that is the point of the exercise).
@@ -297,8 +291,6 @@ class EpochScheduler:
             self._m_audits.labels("rejected").inc(rejected)
         self._m_prove.observe(result.prove_seconds)
         self._m_verify.observe(result.verify_seconds)
-        if self.keep_history:
-            self.history.append(result)
         return result
 
     def run(self, epochs: int, start_epoch: int = 0) -> list[EpochResult]:

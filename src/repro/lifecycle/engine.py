@@ -588,7 +588,6 @@ class LifecycleEngine:
             self.beacon,
             deterministic=True,
             rng=self._batch_rng,
-            keep_history=False,
             overrides=overrides,
             cache=self._cache,
             tracer=self.tracer,

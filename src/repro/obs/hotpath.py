@@ -13,7 +13,7 @@ timers (see ``crypto/bn254/msm.py``, ``crypto/bn254/pairing.py``,
 
 Disabled cost is one boolean check per call against operations that take
 hundreds of microseconds to milliseconds — unmeasurable, which the
-overhead-guard test (``tests/obs/test_overhead_guard.py``) enforces.
+overhead-guard test (``tests/obs/test_overhead.py``) enforces.
 
 Canonical leg names::
 

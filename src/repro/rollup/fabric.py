@@ -293,8 +293,6 @@ class CrossShardAggregator:
         self.lane_names: dict[int, frozenset[int]] = {}
         self.pipelines: dict[int, CheckpointPipeline] = {}
         self.schedulers: dict[int, "EpochScheduler"] = {}
-        self.accounts: dict[int, str] = {}
-        self.contract_addresses: dict[int, str] = {}
 
         placement: dict[int, set[int]] = {}
         for name in executor.instances:
@@ -343,8 +341,6 @@ class CrossShardAggregator:
             self.lane_names[lane_id] = names
             self.schedulers[lane_id] = scheduler
             self.pipelines[lane_id] = pipeline
-            self.accounts[lane_id] = account
-            self.contract_addresses[lane_id] = address
 
     def lane_of(self, name: int) -> int:
         """The lane that settles (and would arbitrate) one file's audits."""

@@ -183,6 +183,32 @@ def test_lifecycle_persist_and_resume(tmp_path, capsys):
     assert grab(first, "event trail") == grab(second, "event trail")
 
 
+def test_checkpoint_lanes_fraud_slashes_a_lane(capsys):
+    """``checkpoint --lanes N --fraud`` (README) settles on a multi-lane
+    fabric and slashes the forged lane checkpoint."""
+    argv = ["checkpoint", "--owners", "1", "--files", "2", "--epochs", "1",
+            "--workers", "1", "--size", "500", "--s", "4", "--k", "3",
+            "--lanes", "2", "--fraud"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for marker in ("fabric: 2 lanes", "1 checkpoint tx", "super-commitment",
+                   "-> consistent", "slashed, bounty", "checkpoint_slashed"):
+        assert marker in out, f"missing stdout marker {marker!r}"
+
+
+def test_shard_persist_reopens_to_the_same_state(tmp_path, capsys):
+    """The WAL-backed lanes written by ``shard --persist`` reopen to the
+    state_hash the run ended with."""
+    persist = str(tmp_path / "chainstate")
+    argv = ["shard", "--lanes", "2", "--fleet", "2", "--epochs", "1",
+            "--workers", "1", "--size", "500", "--s", "4", "--k", "3",
+            "--persist", persist]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"persisted under {persist}" in out
+    assert "state_hash MATCHES" in out
+
+
 def test_every_documented_subcommand_is_smoked():
     """The parser's command set and this suite must stay in sync."""
     parser = build_parser()
